@@ -73,8 +73,18 @@ struct CellScratch {
     real: Matrix,
     /// Forward-pass ping-pong scratch for `forward_into`.
     fwd: Matrix,
-    /// Per-member fake batches of the update phase.
+    /// Per-member fake batches of the update phase (filled for distinct
+    /// generators only; an aliased slot reads its original's batch).
     fakes: Vec<Matrix>,
+    /// Update-phase alias maps: slot → first slot holding a bit-identical
+    /// genome (the slot itself when its genome is distinct).
+    g_alias: Vec<usize>,
+    d_alias: Vec<usize>,
+    /// Update-phase `(g_loss, d_loss)` per distinct (discriminator,
+    /// generator) slot pair, row-major by discriminator slot.
+    pair_loss: Vec<(f32, f32)>,
+    /// Discriminator forward passes the last update phase ran.
+    update_forwards: usize,
     /// Update-phase logits over the real evaluation batch.
     logits_real: Matrix,
     /// Update-phase logits over one fake batch / the blended batch.
@@ -101,6 +111,10 @@ impl CellScratch {
             real: Matrix::default(),
             fwd: Matrix::default(),
             fakes: Vec::new(),
+            g_alias: Vec::new(),
+            d_alias: Vec::new(),
+            pair_loss: Vec::new(),
+            update_forwards: 0,
             logits_real: Matrix::default(),
             logits_fake: Matrix::default(),
             blended: Matrix::default(),
@@ -580,9 +594,29 @@ impl CellEngine {
 
     /// Re-evaluate every individual against the opposing sub-population,
     /// promote the best to center, and periodically evolve the mixture.
-    #[allow(clippy::needless_range_loop)] // index couples two parallel arrays
+    ///
+    /// Wrap-around neighbors (1×N and 2×N grids, Moore9 below 3×3) put the
+    /// same genome in several slots. Each distinct (discriminator,
+    /// generator) pair is scored once and its losses reused for every slot
+    /// pair that repeats it, so the fitness sums — accumulated over all
+    /// slot pairs in the same order as before — stay bit-identical.
     pub fn update_phase(&mut self) {
         self.sync_center_genomes();
+        self.score_distinct_pairs();
+        self.select_and_evolve();
+    }
+
+    /// Discriminator forward passes the last update phase ran: one over the
+    /// real batch per distinct discriminator, plus one per distinct
+    /// (discriminator, generator) pair — s·(s+1) when all s slots differ.
+    pub fn update_forwards(&self) -> usize {
+        self.scratch.update_forwards
+    }
+
+    /// Fill `g_fit`/`d_fit` with every member's mean loss against the
+    /// opposing sub-population, running each distinct forward pass once.
+    #[allow(clippy::needless_range_loop)] // index couples parallel arrays
+    fn score_distinct_pairs(&mut self) {
         let s = self.gen_pop.len();
         gan::latent_batch_into(
             &mut self.rng_train,
@@ -590,10 +624,16 @@ impl CellEngine {
             self.net_cfg.latent_dim,
             &mut self.scratch.z,
         );
+        alias_slots(self.gen_pop.members(), &mut self.scratch.g_alias);
+        alias_slots(self.disc_pop.members(), &mut self.scratch.d_alias);
 
-        // Generate each component's fake batch once (recycled buffers).
+        // Generate each distinct generator's fake batch once (recycled
+        // buffers).
         self.scratch.fakes.resize_with(s, Matrix::default);
         for i in 0..s {
+            if self.scratch.g_alias[i] != i {
+                continue;
+            }
             self.scratch_gen.net.load_genome(&self.gen_pop.members()[i].genome);
             self.scratch_gen.generate_into(
                 &self.scratch.z,
@@ -603,12 +643,15 @@ impl CellEngine {
             );
         }
 
-        // Pairwise logits: discriminator j scores real batch + all fakes.
-        self.scratch.g_fit.clear();
-        self.scratch.g_fit.resize(s, 0.0);
-        self.scratch.d_fit.clear();
-        self.scratch.d_fit.resize(s, 0.0);
+        // Pairwise logits: each distinct discriminator j scores the real
+        // batch and each distinct generator's fakes.
+        self.scratch.pair_loss.clear();
+        self.scratch.pair_loss.resize(s * s, (0.0, 0.0));
+        let mut forwards = 0;
         for j in 0..s {
+            if self.scratch.d_alias[j] != j {
+                continue;
+            }
             self.scratch_disc.net.load_genome(&self.disc_pop.members()[j].genome);
             self.scratch_disc.logits_into(
                 &self.eval_real,
@@ -616,22 +659,49 @@ impl CellEngine {
                 &mut self.scratch.fwd,
                 &self.pool,
             );
+            forwards += 1;
             for i in 0..s {
+                if self.scratch.g_alias[i] != i {
+                    continue;
+                }
                 self.scratch_disc.logits_into(
                     &self.scratch.fakes[i],
                     &mut self.scratch.logits_fake,
                     &mut self.scratch.fwd,
                     &self.pool,
                 );
+                forwards += 1;
                 let g_loss = loss::g_loss_value(GanLoss::Heuristic, &self.scratch.logits_fake);
                 let d_loss = loss::d_bce_loss_value(
                     &self.scratch.logits_real,
                     &self.scratch.logits_fake,
                 );
-                self.scratch.g_fit[i] += g_loss as f64 / s as f64;
-                self.scratch.d_fit[j] += d_loss as f64 / s as f64;
+                self.scratch.pair_loss[j * s + i] = (g_loss, d_loss);
             }
         }
+        self.scratch.update_forwards = forwards;
+
+        // Accumulate over every slot pair, duplicates included, in the
+        // all-pairs order: the f64 sums match an all-pairs scorer bit for
+        // bit.
+        let sc = &mut self.scratch;
+        sc.g_fit.clear();
+        sc.g_fit.resize(s, 0.0);
+        sc.d_fit.clear();
+        sc.d_fit.resize(s, 0.0);
+        for j in 0..s {
+            for i in 0..s {
+                let (g_loss, d_loss) = sc.pair_loss[sc.d_alias[j] * s + sc.g_alias[i]];
+                sc.g_fit[i] += g_loss as f64 / s as f64;
+                sc.d_fit[j] += d_loss as f64 / s as f64;
+            }
+        }
+    }
+
+    /// Store the scored fitness, promote each sub-population's best to its
+    /// center, and evolve the mixture on schedule.
+    fn select_and_evolve(&mut self) {
+        let s = self.gen_pop.len();
         for i in 0..s {
             self.gen_pop.members_mut()[i].fitness = self.scratch.g_fit[i];
             self.disc_pop.members_mut()[i].fitness = self.scratch.d_fit[i];
@@ -669,6 +739,7 @@ impl CellEngine {
         let assignment_seed = self.rng_mixture.derive(self.iteration as u64);
         let scorer = self.scorer.clone();
         let fakes = &self.scratch.fakes;
+        let alias = &self.scratch.g_alias;
         let disc = &self.disc;
         let pool = &self.pool;
         let blended = &mut self.scratch.blended;
@@ -679,7 +750,7 @@ impl CellEngine {
             blended.resize_buffer(n, cols);
             for r in 0..n {
                 let c = w.sample_component(&mut rng);
-                blended.row_mut(r).copy_from_slice(fakes[c].row(r));
+                blended.row_mut(r).copy_from_slice(fakes[alias[c]].row(r));
             }
             match &scorer {
                 Some(s) => s(blended),
@@ -729,6 +800,28 @@ impl CellEngine {
     }
 }
 
+/// Map every member slot to the first slot whose genome is bit-identical
+/// to its own (itself when no earlier slot matches).
+fn alias_slots(members: &[Individual], alias: &mut Vec<usize>) {
+    alias.clear();
+    for (k, m) in members.iter().enumerate() {
+        let first = (0..k)
+            .find(|&p| alias[p] == p && same_bits(&members[p].genome, &m.genome))
+            .unwrap_or(k);
+        alias.push(first);
+    }
+}
+
+/// Bitwise genome equality (NaN payloads and signed zeros compare by
+/// bits), exiting at the first differing chunk.
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    const CHUNK: usize = 64;
+    a.len() == b.len()
+        && a.chunks(CHUNK).zip(b.chunks(CHUNK)).all(|(x, y)| {
+            x.iter().zip(y).fold(true, |eq, (p, q)| eq & (p.to_bits() == q.to_bits()))
+        })
+}
+
 /// Clone a member slice into a recycled buffer, reusing genome capacity.
 fn clone_members_into(src: &[Individual], dst: &mut Vec<Individual>) {
     dst.truncate(src.len());
@@ -749,6 +842,7 @@ fn clone_members_into(src: &[Individual], dst: &mut Vec<Individual>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::NeighborhoodPattern;
     use lipiz_data::SynthDigits;
 
     fn smoke_engine(seed_offset: u64) -> CellEngine {
@@ -1027,6 +1121,194 @@ mod tests {
         let mut other = cfg.clone();
         other.network.hidden_units += 1;
         let _ = CellEngine::from_state(&other, toy_data(&other), Pool::new(1), &state);
+    }
+
+    /// The all-pairs update phase: every slot pair scored, repeats
+    /// included. The oracle the deduplicating `update_phase` must match.
+    #[allow(clippy::needless_range_loop)]
+    fn update_phase_all_pairs(e: &mut CellEngine) {
+        e.sync_center_genomes();
+        let s = e.gen_pop.len();
+        gan::latent_batch_into(
+            &mut e.rng_train,
+            e.cfg.training.eval_batch,
+            e.net_cfg.latent_dim,
+            &mut e.scratch.z,
+        );
+        // Identity aliases: the mixture ES reads every slot's own batch.
+        e.scratch.g_alias.clear();
+        e.scratch.g_alias.extend(0..s);
+        e.scratch.fakes.resize_with(s, Matrix::default);
+        for i in 0..s {
+            e.scratch_gen.net.load_genome(&e.gen_pop.members()[i].genome);
+            e.scratch_gen.generate_into(
+                &e.scratch.z,
+                &mut e.scratch.fakes[i],
+                &mut e.scratch.fwd,
+                &e.pool,
+            );
+        }
+        e.scratch.g_fit.clear();
+        e.scratch.g_fit.resize(s, 0.0);
+        e.scratch.d_fit.clear();
+        e.scratch.d_fit.resize(s, 0.0);
+        for j in 0..s {
+            e.scratch_disc.net.load_genome(&e.disc_pop.members()[j].genome);
+            e.scratch_disc.logits_into(
+                &e.eval_real,
+                &mut e.scratch.logits_real,
+                &mut e.scratch.fwd,
+                &e.pool,
+            );
+            for i in 0..s {
+                e.scratch_disc.logits_into(
+                    &e.scratch.fakes[i],
+                    &mut e.scratch.logits_fake,
+                    &mut e.scratch.fwd,
+                    &e.pool,
+                );
+                let g_loss = loss::g_loss_value(GanLoss::Heuristic, &e.scratch.logits_fake);
+                let d_loss =
+                    loss::d_bce_loss_value(&e.scratch.logits_real, &e.scratch.logits_fake);
+                e.scratch.g_fit[i] += g_loss as f64 / s as f64;
+                e.scratch.d_fit[j] += d_loss as f64 / s as f64;
+            }
+        }
+        e.select_and_evolve();
+    }
+
+    /// Every member's fitness, both centers and the mixture weights, as
+    /// raw bits (NaN compares equal to itself).
+    fn update_outcome_bits(e: &CellEngine) -> Vec<u64> {
+        let members = e.gen_pop.members().iter().chain(e.disc_pop.members());
+        let mut bits: Vec<u64> = members.map(|m| m.fitness.to_bits()).collect();
+        for center in [e.gen_pop.center(), e.disc_pop.center()] {
+            bits.extend(center.genome.iter().map(|x| u64::from(x.to_bits())));
+        }
+        bits.extend(e.mixture.weights().iter().map(|w| u64::from(w.to_bits())));
+        bits
+    }
+
+    /// Drive a whole grid through `iters` iterations in the sequential
+    /// driver's order (async: iteration `i ≥ 1` ingests the generation
+    /// `i-1` frame), scoring with `update`. `poison` plants a NaN in cell
+    /// 0's exported genomes. Returns each cell's outcome bits after every
+    /// update phase, and the final engines.
+    fn drive_grid(
+        cfg: &TrainConfig,
+        iters: usize,
+        poison: bool,
+        update: fn(&mut CellEngine),
+    ) -> (Vec<Vec<u64>>, Vec<CellEngine>) {
+        let grid = crate::topology::Grid::from_config(&cfg.grid);
+        let mut engines: Vec<CellEngine> =
+            (0..grid.cell_count()).map(|c| CellEngine::new(c, cfg, toy_data(cfg))).collect();
+        let mut prev: Vec<CellSnapshot> = Vec::new();
+        let mut trace = Vec::new();
+        for iter in 0..iters {
+            let mut fresh: Vec<CellSnapshot> =
+                engines.iter_mut().map(|e| e.snapshot()).collect();
+            if poison {
+                fresh[0].gen_genome[0] = f32::NAN;
+                fresh[0].disc_genome[1] = f32::NAN;
+            }
+            let frame = if cfg.exchange.is_async() && iter >= 1 { &prev } else { &fresh };
+            for (idx, e) in engines.iter_mut().enumerate() {
+                let snaps: Vec<CellSnapshot> =
+                    grid.neighbors(idx).into_iter().map(|n| frame[n].clone()).collect();
+                e.ingest_neighbors(&snaps);
+                e.mutate_phase();
+                e.train_phase();
+                update(e);
+                e.advance_iteration();
+                trace.push(update_outcome_bits(e));
+            }
+            prev = fresh;
+        }
+        (trace, engines)
+    }
+
+    fn grid_cfg(rows: usize, cols: usize, pattern: NeighborhoodPattern) -> TrainConfig {
+        let mut cfg = TrainConfig::smoke(2);
+        cfg.grid = crate::config::GridConfig { rows, cols, pattern };
+        cfg
+    }
+
+    /// Distinct generator slots of the last update phase (generator
+    /// forwards it ran).
+    fn distinct_generators(e: &CellEngine) -> usize {
+        e.scratch.g_alias.iter().enumerate().filter(|&(i, &a)| i == a).count()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(4))]
+
+        #[test]
+        fn dedup_update_matches_all_pairs_scoring(seed in 0u64..1_000_000, poison_bit in 0u8..2) {
+            use crate::config::ExchangeMode;
+            let shapes = [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)];
+            let patterns = [NeighborhoodPattern::Cross5, NeighborhoodPattern::Moore9];
+            for (rows, cols) in shapes {
+                for pattern in patterns {
+                    for mode in [ExchangeMode::Sync, ExchangeMode::Async] {
+                        let mut cfg = grid_cfg(rows, cols, pattern).with_exchange(mode);
+                        cfg.seed = seed;
+                        // Every case runs both clean and NaN-poisoned grids;
+                        // the drawn bit picks which goes first.
+                        for poison in [poison_bit == 1, poison_bit == 0] {
+                            let (dedup, _) = drive_grid(&cfg, 3, poison, CellEngine::update_phase);
+                            let (oracle, _) = drive_grid(&cfg, 3, poison, update_phase_all_pairs);
+                            proptest::prop_assert!(
+                                dedup == oracle,
+                                "{rows}x{cols} {pattern:?} {mode} poison={poison} seed={seed}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn update_forwards_count_distinct_pairs_only() {
+        // (rows, cols, pattern) → (discriminator forwards, generator
+        // forwards) in the first iteration, where only wrap-around repeats
+        // slots. (Later, two cells that promote the same import export
+        // equal genomes, and those pairs are scored once as well.)
+        let cases = [
+            (3, 3, NeighborhoodPattern::Cross5, 30, 5),
+            (1, 2, NeighborhoodPattern::Cross5, 12, 3),
+            (2, 2, NeighborhoodPattern::Cross5, 12, 3),
+            (1, 2, NeighborhoodPattern::Isolated, 2, 1),
+        ];
+        for (rows, cols, pattern, disc_forwards, gen_forwards) in cases {
+            let (_, engines) =
+                drive_grid(&grid_cfg(rows, cols, pattern), 1, false, CellEngine::update_phase);
+            for e in &engines {
+                assert_eq!(e.update_forwards(), disc_forwards, "{rows}x{cols} {pattern:?}");
+                assert_eq!(distinct_generators(e), gen_forwards, "{rows}x{cols} {pattern:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn genome_aliasing_is_bitwise() {
+        let member = |genome: Vec<f32>| Individual::new(genome, 1e-3, GanLoss::Heuristic);
+        let nan = f32::from_bits(0x7fc0_0001);
+        let members = [
+            member(vec![1.0, 2.0]),
+            member(vec![1.0, nan]),
+            member(vec![1.0, 2.0]),
+            member(vec![-0.0, 2.0]),
+            member(vec![1.0, nan]),
+            member(vec![0.0, 2.0]),
+            member(vec![1.0, f32::NAN]),
+        ];
+        let mut alias = Vec::new();
+        alias_slots(&members, &mut alias);
+        // Equal NaN payloads alias; signed zeros and other NaN payloads
+        // are distinct genomes.
+        assert_eq!(alias, vec![0, 1, 0, 3, 1, 5, 6]);
     }
 
     #[test]

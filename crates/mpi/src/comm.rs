@@ -361,9 +361,8 @@ impl Comm {
         let mut slots: Vec<Option<T>> = (0..self.size()).map(|_| None).collect();
         slots[root] = Some(T::from_bytes(&value.to_bytes()).expect("self gather"));
         let mut pending: Vec<usize> = (0..self.size()).filter(|&r| r != root).collect();
-        while !pending.is_empty() {
-            // Drain whatever is queued from any pending source, then sleep
-            // one poll interval at most before re-checking the abort flag.
+        // Take whatever is queued from any pending source.
+        let drain = |pending: &mut Vec<usize>, slots: &mut Vec<Option<T>>| {
             pending.retain(|&src| {
                 match self.my_mailbox().recv_timeout(
                     self.context,
@@ -377,12 +376,14 @@ impl Comm {
                     }
                     None => true,
                 }
-            });
+            })
+        };
+        while !pending.is_empty() {
+            // Drain, then sleep one poll interval at most before re-checking
+            // the abort flag.
+            drain(&mut pending, &mut slots);
             if pending.is_empty() {
                 break;
-            }
-            if should_abort(&pending) {
-                return Err(pending);
             }
             // A pending source whose transport connection is gone (and has
             // nothing queued) cannot contribute *right now* — but whether
@@ -394,11 +395,21 @@ impl Comm {
             // deadline can convict); a predicate with no replacement story
             // aborts here exactly as before. In-process fabrics never mark
             // peers dead, so this only fires on real transports.
-            let doomed = pending.iter().any(|&src| {
-                self.my_mailbox().peer_is_dead(self.group[src])
+            let doomed = |&src: &usize| {
+                self.peer_connection_dead(src)
                     && !self.my_mailbox().probe(self.context, Some(src), ReservedTags::GATHER)
-            });
-            if doomed && should_abort(&pending) {
+            };
+            let abort = should_abort(&pending)
+                || (pending.iter().any(doomed) && should_abort(&pending));
+            if abort {
+                // A source may have queued its contribution and closed its
+                // link after the drain above but before the predicate saw
+                // the closed link: drain once more before giving up, so a
+                // finished gather is never reported as aborted.
+                drain(&mut pending, &mut slots);
+                if pending.is_empty() {
+                    break;
+                }
                 return Err(pending);
             }
             // Block on the *first* pending source for the poll interval —
@@ -940,6 +951,28 @@ mod tests {
         });
         assert_eq!(results[0], Ok(Some(vec![0, 10, 20, 30])));
         assert!(results[1..].iter().all(|r| *r == Ok(None)));
+    }
+
+    #[test]
+    fn abortable_gather_keeps_a_result_queued_before_its_link_closed() {
+        // The final-gather race: the source delivers its frame and closes
+        // its link after the root's drain but before the predicate runs.
+        // The predicate sees a dead link; the frame is already queued, so
+        // the gather must complete rather than abort.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let fabric = Fabric::new(2);
+        let root = Comm::world(fabric.clone(), 0);
+        let slave = Comm::world(fabric.clone(), 1);
+        let delivered = AtomicBool::new(false);
+        let got = root.gather_abortable(0, &5u64, Duration::from_millis(10), &|pending| {
+            if !delivered.swap(true, Ordering::SeqCst) {
+                let sent = slave.gather_abortable(0, &7u64, Duration::ZERO, &|_| false);
+                assert_eq!(sent, Ok(None));
+                fabric.mailbox(0).mark_peer_dead(1);
+            }
+            pending.iter().any(|&r| root.peer_connection_dead(r))
+        });
+        assert_eq!(got, Ok(Some(vec![5, 7])));
     }
 
     #[test]

@@ -321,6 +321,51 @@ impl From<&CellState> for CellStateMsg {
     }
 }
 
+/// Encode `state` in [`CellStateMsg`] wire order straight from the core
+/// type, the way [`SnapshotMsg::encode_snapshot`] does for snapshots: a
+/// commit no longer deep-clones every genome, both Adam moment pairs and
+/// the exchange frame into a message first (~20 MB transient per commit at
+/// Table I shapes). Byte-identical to `CellStateMsg::from(state).encode(out)`.
+pub fn encode_cell_state(state: &CellState, out: &mut Vec<u8>) {
+    fn members(ms: &[Individual], out: &mut Vec<u8>) {
+        (ms.len() as u32).encode(out);
+        for m in ms {
+            m.genome.encode(out);
+            m.lr.encode(out);
+            m.loss.id().encode(out);
+            m.fitness.encode(out);
+        }
+    }
+    fn adam(a: &AdamState, out: &mut Vec<u8>) {
+        a.m.encode(out);
+        a.v.encode(out);
+        a.t.encode(out);
+        a.beta1.encode(out);
+        a.beta2.encode(out);
+        a.eps.encode(out);
+    }
+    let rng = |r: Rng64State, out: &mut Vec<u8>| RngStateMsg::from(r).encode(out);
+    state.cell.encode(out);
+    state.iteration.encode(out);
+    state.batch_counter.encode(out);
+    members(&state.gen_members, out);
+    members(&state.disc_members, out);
+    state.mixture.encode(out);
+    adam(&state.adam_g, out);
+    adam(&state.adam_d, out);
+    rng(state.rng_mutate, out);
+    rng(state.rng_train, out);
+    rng(state.rng_mixture, out);
+    state.loader.order.encode(out);
+    state.loader.cursor.encode(out);
+    state.loader.epoch.encode(out);
+    rng(state.loader.rng, out);
+    (state.exchange_frame.len() as u32).encode(out);
+    for snap in &state.exchange_frame {
+        SnapshotMsg::encode_snapshot(snap, out);
+    }
+}
+
 impl CellStateMsg {
     /// Convert back to the core type (invalid enum ids are decode errors,
     /// not panics — checkpoints come from disk, not from trusted peers).
@@ -467,7 +512,7 @@ pub fn write_cell_state_with(
     scratch: &mut Vec<u8>,
 ) -> Result<PathBuf, CheckpointError> {
     fs::create_dir_all(dir)?;
-    frame_into(CELL_MAGIC, |out| CellStateMsg::from(state).encode(out), scratch);
+    frame_into(CELL_MAGIC, |out| encode_cell_state(state, out), scratch);
     let path = dir.join(cell_file_name(state.cell, state.iteration));
     write_atomic(&path, scratch)?;
     Ok(path)
@@ -768,6 +813,21 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    #[test]
+    fn direct_encode_matches_the_message_encoding() {
+        // An async cut: the state carries the frame the next iteration
+        // consumes, so every field of the wire layout is non-empty.
+        let cfg = TrainConfig::smoke(2).with_exchange(lipiz_core::ExchangeMode::Async);
+        let mut state = captured(&cfg, 1, 2);
+        let mut donor = CellEngine::new(0, &cfg, toy_data(&cfg));
+        state.exchange_frame = (0..cfg.cells()).map(|_| donor.snapshot()).collect();
+        state.exchange_frame[1].cell = 1;
+        let mut direct = Vec::new();
+        encode_cell_state(&state, &mut direct);
+        assert_eq!(direct, CellStateMsg::from(&state).to_bytes());
+        assert_eq!(CellStateMsg::from_bytes(&direct).unwrap().into_state().unwrap(), state);
     }
 
     #[test]

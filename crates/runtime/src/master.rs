@@ -40,13 +40,14 @@ const REJOIN_ANNOUNCE_TIMEOUT: Duration = Duration::from_secs(30);
 /// evidence that convicted it.
 #[derive(Debug)]
 pub enum MasterAbort {
-    /// A slave missed its heartbeat deadline (or went silent before the
-    /// final gather) and was declared dead.
+    /// A slave was declared dead before it delivered its result.
     SlaveDead {
         /// WORLD rank of the dead slave.
         world_rank: usize,
         /// Grid cell that slave was training.
         cell: usize,
+        /// What convicted it.
+        cause: DeathCause,
         /// The heartbeat log up to the abort.
         heartbeat: HeartbeatLog,
     },
@@ -54,13 +55,33 @@ pub enum MasterAbort {
     Checkpoint(CheckpointError),
 }
 
+/// How the master learned that a slave was dead.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DeathCause {
+    /// The heartbeat monitor convicted it after consecutive missed
+    /// deadlines.
+    HeartbeatMissed,
+    /// Its transport connection closed before it delivered, with no
+    /// heartbeat conviction (the usual signature of a killed process, and
+    /// the only one with deadlines off).
+    ConnectionClosed,
+}
+
+impl std::fmt::Display for DeathCause {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DeathCause::HeartbeatMissed => write!(f, "missed its heartbeat deadline"),
+            DeathCause::ConnectionClosed => write!(f, "connection closed"),
+        }
+    }
+}
+
 impl std::fmt::Display for MasterAbort {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            MasterAbort::SlaveDead { world_rank, cell, .. } => write!(
-                f,
-                "slave world rank {world_rank} (cell {cell}) missed its heartbeat deadline"
-            ),
+            MasterAbort::SlaveDead { world_rank, cell, cause, .. } => {
+                write!(f, "slave world rank {world_rank} (cell {cell}) {cause}")
+            }
             MasterAbort::Checkpoint(e) => write!(f, "checkpoint setup failed: {e}"),
         }
     }
@@ -201,6 +222,7 @@ pub fn run_master_elastic(
         .map_err(|world_rank| MasterAbort::SlaveDead {
             world_rank,
             cell: world_rank - 1,
+            cause: DeathCause::ConnectionClosed,
             heartbeat: HeartbeatLog::default(),
         })?;
 
@@ -411,16 +433,20 @@ pub fn run_master_elastic(
             // Name the actual casualty: the heartbeat conviction if one
             // landed, else the pending rank whose connection is really
             // gone (the doomed-gather path fires well before the deadline
-            // can convict), else the first pending rank.
-            let world_rank = match first_dead.load(Ordering::Acquire) {
-                NO_DEAD_SLAVE => pending
-                    .iter()
-                    .copied()
-                    .find(|&r| cm.connection_dead(r))
-                    .unwrap_or(pending[0]),
-                rank => rank as usize,
+            // can convict), else the first pending rank. Without a
+            // conviction, only a closed connection aborts the gather.
+            let (world_rank, cause) = match first_dead.load(Ordering::Acquire) {
+                NO_DEAD_SLAVE => (
+                    pending
+                        .iter()
+                        .copied()
+                        .find(|&r| cm.connection_dead(r))
+                        .unwrap_or(pending[0]),
+                    DeathCause::ConnectionClosed,
+                ),
+                rank => (rank as usize, DeathCause::HeartbeatMissed),
             };
-            Err(MasterAbort::SlaveDead { world_rank, cell: world_rank - 1, heartbeat })
+            Err(MasterAbort::SlaveDead { world_rank, cell: world_rank - 1, cause, heartbeat })
         }
     }
 }
@@ -588,13 +614,33 @@ mod tests {
         });
         let outcome = results.into_iter().next().unwrap().unwrap();
         match outcome {
-            Err(MasterAbort::SlaveDead { world_rank, cell, heartbeat }) => {
+            Err(MasterAbort::SlaveDead { world_rank, cell, cause, heartbeat }) => {
                 assert_eq!(world_rank, 1);
                 assert_eq!(cell, 0);
+                // In-process links never close: only the deadline convicts.
+                assert_eq!(cause, DeathCause::HeartbeatMissed);
                 assert!(heartbeat.any_delayed(), "death declared without evidence");
             }
             other => panic!("expected SlaveDead, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn slave_dead_message_names_its_cause() {
+        let abort = |cause| MasterAbort::SlaveDead {
+            world_rank: 2,
+            cell: 1,
+            cause,
+            heartbeat: HeartbeatLog::default(),
+        };
+        assert_eq!(
+            abort(DeathCause::HeartbeatMissed).to_string(),
+            "slave world rank 2 (cell 1) missed its heartbeat deadline"
+        );
+        assert_eq!(
+            abort(DeathCause::ConnectionClosed).to_string(),
+            "slave world rank 2 (cell 1) connection closed"
+        );
     }
 
     #[test]

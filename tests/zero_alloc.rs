@@ -7,7 +7,9 @@
 //! fakes and logits, the mixture-ES candidate), then asserts that further
 //! iterations allocate nothing at all — through the gather, mutate, train
 //! and update-genomes phases, including the per-iteration mixture
-//! evolution (`mixture_every = 1` in the smoke config).
+//! evolution (`mixture_every = 1` in the smoke config). A 1×2-shaped
+//! neighborhood (each neighbor in two slots) holds the update phase's
+//! duplicate-genome path to the same bar.
 //!
 //! The binary runs with `harness = false` (see the root `Cargo.toml`): the
 //! allocator counter is process-global, and libtest's runner thread lazily
@@ -91,6 +93,7 @@ fn allocations_over_traced(
 fn main() {
     steady_state_iteration_allocates_nothing();
     steady_state_with_telemetry_allocates_nothing();
+    steady_state_with_duplicate_neighbors_allocates_nothing();
     println!("zero_alloc: steady-state training iterations allocate nothing — ok");
 }
 
@@ -176,4 +179,30 @@ fn steady_state_with_telemetry_allocates_nothing() {
         steady, 0,
         "steady-state pooled iterations with telemetry enabled must perform zero heap allocations"
     );
+}
+
+/// A 1×2 Cross5 neighborhood — the cell's own snapshot in the N and S
+/// slots, the other cell's in W and E — sends the update phase down its
+/// alias path: 3 distinct genomes in 5 slots, 12 discriminator forwards
+/// instead of 30. The alias maps and pair-loss table are recycled too.
+fn steady_state_with_duplicate_neighbors_allocates_nothing() {
+    let mut cfg = TrainConfig::smoke(2);
+    cfg.grid.rows = 1;
+    cfg.coevolution.iterations = 64; // never reached; engine driven manually
+    let data = toy_data(&cfg);
+    let neighbor_snapshot = CellEngine::new(1, &cfg, data.clone()).snapshot();
+
+    for (label, pool) in [("serial", Pool::new(1)), ("pooled", Pool::uncapped(2))] {
+        let mut engine = CellEngine::with_pool(0, &cfg, data.clone(), pool);
+        let own = engine.snapshot();
+        let snaps = [own.clone(), own, neighbor_snapshot.clone(), neighbor_snapshot.clone()];
+        allocations_over(&mut engine, &snaps, 4);
+        let steady = allocations_over(&mut engine, &snaps, 6);
+        assert_eq!(
+            steady, 0,
+            "steady-state {label} iterations with duplicate neighbors must perform zero heap \
+             allocations"
+        );
+        assert_eq!(engine.update_forwards(), 12, "{label}: duplicate pairs scored once");
+    }
 }
